@@ -12,36 +12,102 @@ namespace {
 using int128 = __int128;
 using uint128 = unsigned __int128;
 
+constexpr uint128 kMax = static_cast<uint128>(INT64_MAX);
+
+uint64_t Abs64(int64_t value) {
+  // Canonical numerators exclude INT64_MIN, so negation is safe.
+  return value < 0 ? static_cast<uint64_t>(-value)
+                   : static_cast<uint64_t>(value);
+}
+
 uint128 Abs128(int128 value) {
   return value < 0 ? static_cast<uint128>(-value) : static_cast<uint128>(value);
 }
 
-uint128 Gcd128(uint128 a, uint128 b) {
-  while (b != 0) {
-    uint128 t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
+// Binary (Stein) gcd: shifts and subtractions only, no division.
+// Gcd(0, b) == b.
+uint64_t Gcd(uint64_t a, uint64_t b) {
+  if (a == 0) return b;
+  if (b == 0) return a;
+  int shift = __builtin_ctzll(a | b);
+  a >>= __builtin_ctzll(a);
+  do {
+    b >>= __builtin_ctzll(b);
+    if (a > b) std::swap(a, b);
+    b -= a;
+  } while (b != 0);
+  return a << shift;
 }
 
-// Reduces num/den (den > 0) by their gcd and stores the result if the
-// canonical pair fits int64 (|num| <= INT64_MAX keeps negation safe).
-bool Reduce128(int128 num, int128 den, SmallRational* out) {
-  if (num == 0) {
-    *out = SmallRational(0);
-    return true;
+// x / d, in 64-bit arithmetic whenever x fits a word.
+uint128 DivSmall(uint128 x, uint64_t d) {
+  if (d == 1) return x;
+  return x <= UINT64_MAX ? static_cast<uint64_t>(x) / d : x / d;
+}
+
+// x mod d, in 64-bit arithmetic whenever x fits a word.
+uint64_t ModSmall(uint128 x, uint64_t d) {
+  return x <= UINT64_MAX ? static_cast<uint64_t>(x) % d
+                         : static_cast<uint64_t>(x % d);
+}
+
+// An exact result already in lowest terms, before the int64 fit test.
+struct Reduced {
+  bool negative = false;
+  uint128 magnitude = 0;
+  uint128 den = 1;
+};
+
+// a/b + c/d over canonical operands (Henrici; Knuth TAOCP 4.5.1).
+// With g = gcd(b, d), t = a*(d/g) + c*(b/g) and g2 = gcd(t, g), the
+// pair t/g2 over (b/g)*(d/g2) is already in lowest terms, so the only
+// reduction is one gcd against g, skipped whenever the denominators
+// are coprime (g == 1).
+Reduced AddReduced(int64_t a, int64_t b, int64_t c, int64_t d) {
+  if (b == 1 && d == 1) {
+    int128 sum = static_cast<int128>(a) + c;
+    return {sum < 0, Abs128(sum), 1};
   }
-  uint128 magnitude = Abs128(num);
-  uint128 udden = static_cast<uint128>(den);
-  uint128 gcd = Gcd128(magnitude, udden);
-  magnitude /= gcd;
-  udden /= gcd;
-  constexpr uint128 kMax = static_cast<uint128>(INT64_MAX);
-  if (magnitude > kMax || udden > kMax) return false;
-  int64_t n = static_cast<int64_t>(magnitude);
-  return SmallRational::Make(num < 0 ? -n : n, static_cast<int64_t>(udden),
-                             out);
+  uint64_t ub = static_cast<uint64_t>(b);
+  uint64_t ud = static_cast<uint64_t>(d);
+  uint64_t g = (b == 1 || d == 1) ? 1 : Gcd(ub, ud);
+  if (g > 1) {
+    ub /= g;
+    ud /= g;
+  }
+  // Products stay below 2^126, so the sum fits __int128.
+  int128 t = static_cast<int128>(a) * static_cast<int64_t>(ud) +
+             static_cast<int128>(c) * static_cast<int64_t>(ub);
+  if (t == 0) return {};
+  uint128 magnitude = Abs128(t);
+  uint64_t g2 = g == 1 ? 1 : Gcd(ModSmall(magnitude, g), g);
+  // (d/g) * (g/g2) == d/g2 fits a word.
+  return {t < 0, DivSmall(magnitude, g2),
+          static_cast<uint128>(ub) * (ud * (g / g2))};
+}
+
+// (a/b) * (c/d) over canonical operands, with c/d's sign passed in
+// `negative` and |c| in `uc` (so Div can hand over the reciprocal).
+// Cross-cancelling gcd(a, d) and gcd(c, b) leaves a product that is
+// already in lowest terms.
+Reduced MulReduced(int64_t a, uint64_t b, uint64_t uc, uint64_t d,
+                   bool negative) {
+  if (a == 0 || uc == 0) return {};
+  uint64_t ua = Abs64(a);
+  negative = negative != (a < 0);
+  if (b == 1 && d == 1) return {negative, static_cast<uint128>(ua) * uc, 1};
+  uint64_t g1 = d == 1 ? 1 : Gcd(ua, d);
+  uint64_t g2 = b == 1 ? 1 : Gcd(uc, b);
+  if (g1 > 1) {
+    ua /= g1;
+    d /= g1;
+  }
+  if (g2 > 1) {
+    uc /= g2;
+    b /= g2;
+  }
+  return {negative, static_cast<uint128>(ua) * uc,
+          static_cast<uint128>(b) * d};
 }
 
 }  // namespace
@@ -56,21 +122,12 @@ bool SmallRational::Make(int64_t num, int64_t den, SmallRational* out) {
     *out = SmallRational(0);
     return true;
   }
-  uint64_t magnitude = num < 0 ? static_cast<uint64_t>(-num)
-                               : static_cast<uint64_t>(num);
+  uint64_t magnitude = Abs64(num);
   uint64_t udden = static_cast<uint64_t>(den);
-  // Binary-free Euclid is plenty here; operands are already reduced in
-  // the common (tableau) case so the loop exits quickly.
-  uint64_t a = magnitude;
-  uint64_t b = udden;
-  while (b != 0) {
-    uint64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  if (a > 1) {
-    magnitude /= a;
-    udden /= a;
+  uint64_t gcd = Gcd(magnitude, udden);
+  if (gcd > 1) {
+    magnitude /= gcd;
+    udden /= gcd;
   }
   out->num_ = num < 0 ? -static_cast<int64_t>(magnitude)
                       : static_cast<int64_t>(magnitude);
@@ -78,40 +135,43 @@ bool SmallRational::Make(int64_t num, int64_t den, SmallRational* out) {
   return true;
 }
 
+bool SmallRational::StoreReduced(bool negative, uint128 magnitude, uint128 den,
+                                 SmallRational* out) {
+  // |num| <= INT64_MAX keeps negation safe.
+  if (magnitude > kMax || den > kMax) return false;
+  int64_t num = static_cast<int64_t>(magnitude);
+  out->num_ = negative ? -num : num;
+  out->den_ = static_cast<int64_t>(den);
+  return true;
+}
+
 bool SmallRational::Add(const SmallRational& a, const SmallRational& b,
                         SmallRational* out) {
-  // Products are below 2^126, so the sum stays within __int128.
-  int128 num = static_cast<int128>(a.num_) * b.den_ +
-               static_cast<int128>(b.num_) * a.den_;
-  int128 den = static_cast<int128>(a.den_) * b.den_;
-  return Reduce128(num, den, out);
+  Reduced r = AddReduced(a.num_, a.den_, b.num_, b.den_);
+  return StoreReduced(r.negative, r.magnitude, r.den, out);
 }
 
 bool SmallRational::Sub(const SmallRational& a, const SmallRational& b,
                         SmallRational* out) {
-  int128 num = static_cast<int128>(a.num_) * b.den_ -
-               static_cast<int128>(b.num_) * a.den_;
-  int128 den = static_cast<int128>(a.den_) * b.den_;
-  return Reduce128(num, den, out);
+  Reduced r = AddReduced(a.num_, a.den_, -b.num_, b.den_);
+  return StoreReduced(r.negative, r.magnitude, r.den, out);
 }
 
 bool SmallRational::Mul(const SmallRational& a, const SmallRational& b,
                         SmallRational* out) {
-  int128 num = static_cast<int128>(a.num_) * b.num_;
-  int128 den = static_cast<int128>(a.den_) * b.den_;
-  return Reduce128(num, den, out);
+  Reduced r = MulReduced(a.num_, static_cast<uint64_t>(a.den_), Abs64(b.num_),
+                         static_cast<uint64_t>(b.den_), b.num_ < 0);
+  return StoreReduced(r.negative, r.magnitude, r.den, out);
 }
 
 bool SmallRational::Div(const SmallRational& a, const SmallRational& b,
                         SmallRational* out) {
   if (b.num_ == 0) return false;
-  int128 num = static_cast<int128>(a.num_) * b.den_;
-  int128 den = static_cast<int128>(a.den_) * b.num_;
-  if (den < 0) {
-    num = -num;
-    den = -den;
-  }
-  return Reduce128(num, den, out);
+  // a / b == a * (b.den / |b.num|), with b's sign moved onto the result.
+  Reduced r = MulReduced(a.num_, static_cast<uint64_t>(a.den_),
+                         static_cast<uint64_t>(b.den_), Abs64(b.num_),
+                         b.num_ < 0);
+  return StoreReduced(r.negative, r.magnitude, r.den, out);
 }
 
 bool SmallRational::SubMul(const SmallRational& a, const SmallRational& b,

@@ -7,7 +7,11 @@
 // (denominator positive, reduced by gcd, numerator magnitude at most
 // INT64_MAX so negation never overflows), with every operation
 // computed through __int128 intermediates and reporting overflow
-// instead of wrapping.
+// instead of wrapping. Operations exploit the reduced operands
+// (Henrici's forms, Knuth TAOCP 4.5.1): a product cross-cancels with
+// two word-sized binary gcds, a sum reduces by one gcd against
+// gcd(den, den') only when that is not 1, and integer operands take
+// a gcd-free path. No 128-bit Euclid runs on the hot path.
 //
 // `TwoTierRational` is the tagged tableau cell built on top: a
 // SmallRational while the value fits, promoted lazily to the existing
@@ -31,6 +35,7 @@ namespace xmlverify {
 class SmallRational {
  public:
   constexpr SmallRational() = default;
+  /// Requires value != INT64_MIN (the kernels negate numerators).
   explicit constexpr SmallRational(int64_t value) : num_(value), den_(1) {}
 
   /// Canonicalizes num/den. Returns false when `den` is zero or the
@@ -75,6 +80,11 @@ class SmallRational {
   std::string ToString() const;
 
  private:
+  /// Stores a result already in lowest terms; false when it does not
+  /// fit (|num| or den > INT64_MAX).
+  static bool StoreReduced(bool negative, unsigned __int128 magnitude,
+                           unsigned __int128 den, SmallRational* out);
+
   int64_t num_ = 0;
   int64_t den_ = 1;
 };

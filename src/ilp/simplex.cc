@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <type_traits>
 #include <utility>
 
@@ -479,13 +481,35 @@ class SparseTableau {
     return &it->second;
   }
 
+  // Number of distinct columns across two sorted rows.
+  static size_t UnionSize(const SparseRow& a, const SparseRow& b) {
+    size_t shared = 0;
+    auto i = a.begin();
+    auto j = b.begin();
+    while (i != a.end() && j != b.end()) {
+      if (i->first < j->first) {
+        ++i;
+      } else if (j->first < i->first) {
+        ++j;
+      } else {
+        ++shared;
+        ++i;
+        ++j;
+      }
+    }
+    return a.size() + b.size() - shared;
+  }
+
   // target -= factor * src, as one sorted merge walk. Exact
   // cancellations are dropped, so fill-in only happens where the
-  // combined entry is genuinely nonzero.
+  // combined entry is genuinely nonzero. The result is sized to the
+  // column union, not |target| + |src|: warm re-solves move tableaus
+  // down the search tree instead of copying them compactly, so spare
+  // row capacity would pile up along the branch path.
   static void RowSubMul(SparseRow* target, const TwoTierRational& factor,
                         const SparseRow& src) {
     SparseRow result;
-    result.reserve(target->size() + src.size());
+    result.reserve(UnionSize(*target, src));
     auto t = target->begin();
     auto s = src.begin();
     while (t != target->end() || s != src.end()) {
@@ -555,9 +579,19 @@ class SparseTableau {
 }  // namespace simplex_detail
 
 // Definition of the header's opaque warm-state handle: a finished
-// sparse tableau, immutable once wrapped in shared_ptr<const>.
+// sparse tableau, immutable while shared. Always built non-const
+// (make_shared<SimplexWarmState>), so the holder of the last reference
+// may move the tableau out through the shared_ptr<const> handle.
 struct SimplexWarmState {
+  explicit SimplexWarmState(simplex_detail::SparseTableau finished)
+      : tableau(std::move(finished)) {}
+
   simplex_detail::SparseTableau tableau;
+  // use_count() is an unsynchronized read, so it alone does not order
+  // a sibling's earlier copy (possibly on another thread) before the
+  // last owner's move. Copies are taken under this lock shared and the
+  // move under it exclusively, which does.
+  mutable std::shared_mutex handoff;
 };
 
 int64_t WarmStateBytes(const SimplexWarmState& state) {
@@ -611,11 +645,35 @@ SimplexResult RunWithTableau(int num_vars,
   if (!result.feasible) trace::Count("simplex/infeasible");
   if constexpr (std::is_same_v<TableauT, SparseTableau>) {
     if (result.feasible && options.export_warm_state) {
-      result.warm_state = std::make_shared<const SimplexWarmState>(
-          SimplexWarmState{std::move(tableau)});
+      result.warm_state =
+          std::make_shared<SimplexWarmState>(std::move(tableau));
     }
   }
   return result;
+}
+
+// The full row list of a re-solve: the shared base, then the extras.
+std::vector<LinearConstraint> JoinRows(
+    const std::vector<LinearConstraint>& base,
+    const std::vector<LinearConstraint>& extra) {
+  std::vector<LinearConstraint> rows;
+  rows.reserve(base.size() + extra.size());
+  rows.insert(rows.end(), base.begin(), base.end());
+  rows.insert(rows.end(), extra.begin(), extra.end());
+  return rows;
+}
+
+// The parent's tableau: moved out when `parent` is the last reference
+// to the snapshot, deep-copied while a sibling still shares it.
+SparseTableau TakeTableau(std::shared_ptr<const SimplexWarmState> parent) {
+  if (parent.use_count() == 1) {
+    std::lock_guard<std::shared_mutex> lock(parent->handoff);
+    trace::Count("simplex/warm_tableau_moves");
+    // Well-defined: the snapshot object was created non-const.
+    return std::move(const_cast<SimplexWarmState&>(*parent).tableau);
+  }
+  std::shared_lock<std::shared_mutex> lock(parent->handoff);
+  return parent->tableau;
 }
 
 }  // namespace
@@ -634,16 +692,17 @@ SimplexResult SolveLp(int num_vars,
                                       options);
 }
 
-SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
-                        const std::vector<LinearConstraint>& constraints,
+SimplexResult ResolveLp(std::shared_ptr<const SimplexWarmState> parent,
+                        const std::vector<LinearConstraint>& base,
+                        const std::vector<LinearConstraint>& extra,
                         int delta, int num_vars, const Deadline& deadline,
                         const ResourceBudget* budget,
                         const SimplexOptions& options) {
   bool warm_eligible = options.sparse && parent != nullptr && delta > 0 &&
-                       delta <= static_cast<int>(constraints.size());
+                       delta <= static_cast<int>(extra.size());
   if (warm_eligible) {
-    for (size_t i = constraints.size() - delta; i < constraints.size(); ++i) {
-      if (constraints[i].relation == Relation::kEq) {
+    for (size_t i = extra.size() - delta; i < extra.size(); ++i) {
+      if (extra[i].relation == Relation::kEq) {
         warm_eligible = false;
         break;
       }
@@ -651,7 +710,7 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
   }
   if (!warm_eligible) {
     SimplexResult cold =
-        SolveLp(num_vars, constraints, deadline, budget, options);
+        SolveLp(num_vars, JoinRows(base, extra), deadline, budget, options);
     cold.warm_fallback = true;
     trace::Count("simplex/warm_fallbacks");
     return cold;
@@ -661,9 +720,9 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
   SimplexResult result;
   int64_t warm_pivots = 0;
   {
-    SparseTableau tableau(parent->tableau);  // deep copy
-    for (size_t i = constraints.size() - delta; i < constraints.size(); ++i) {
-      tableau.AppendRelaxedRow(constraints[i]);
+    SparseTableau tableau = TakeTableau(std::move(parent));
+    for (size_t i = extra.size() - delta; i < extra.size(); ++i) {
+      tableau.AppendRelaxedRow(extra[i]);
     }
     std::optional<ScopedMemoryCharge> charge;
     if (budget != nullptr) {
@@ -718,8 +777,8 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
       trace::Count("simplex/pivots", result.pivots);
       if (!result.feasible) trace::Count("simplex/infeasible");
       if (result.feasible && options.export_warm_state) {
-        result.warm_state = std::make_shared<const SimplexWarmState>(
-            SimplexWarmState{std::move(tableau)});
+        result.warm_state =
+            std::make_shared<SimplexWarmState>(std::move(tableau));
       }
       return result;
     }
@@ -729,8 +788,8 @@ SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
   // when the parent basis was not dual feasible). Re-solve cold; the
   // wasted dual pivots stay in the count.
   trace::Count("simplex/warm_fallbacks");
-  SimplexResult cold = SolveLp(num_vars, constraints, deadline, budget,
-                               options);
+  SimplexResult cold =
+      SolveLp(num_vars, JoinRows(base, extra), deadline, budget, options);
   cold.pivots += warm_pivots;
   cold.warm_fallback = true;
   return cold;

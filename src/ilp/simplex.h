@@ -29,9 +29,11 @@ namespace xmlverify {
 /// warm-start the re-solve of a nearby system (same rows plus a few
 /// extra bounds) through a short dual-simplex run instead of a
 /// from-scratch phase-1. Produced only by the sparse engine, on
-/// request (SimplexOptions::export_warm_state); immutable once built,
-/// so siblings in a branch-and-bound tree — including ones solved on
-/// different threads — may share one snapshot.
+/// request (SimplexOptions::export_warm_state). Immutable while
+/// shared, so siblings in a branch-and-bound tree — including ones
+/// solved on different threads — may share one snapshot; ResolveLp
+/// copies the tableau out of a shared snapshot and moves it out of
+/// one it holds the last reference to.
 struct SimplexWarmState;
 
 /// Approximate resident footprint of a warm-state snapshot.
@@ -89,21 +91,25 @@ SimplexResult SolveLp(int num_vars,
                       const ResourceBudget* budget = nullptr,
                       const SimplexOptions& options = {});
 
-/// Re-solves a system that extends `parent`'s by the trailing `delta`
-/// rows of `constraints` (which must list the parent's rows followed
-/// by exactly the delta rows). Each inequality delta row is appended
-/// to a copy of the parent's final tableau with its slack basic — no
-/// artificials, so the parent's phase-1 optimality is preserved as
+/// Re-solves the system `base` + `extra`, which extends `parent`'s by
+/// the trailing `delta` rows of `extra` (the parent's rows are `base`
+/// followed by the leading rows of `extra`). Each inequality delta row
+/// is appended to the parent's final tableau with its slack basic —
+/// no artificials, so the parent's phase-1 optimality is preserved as
 /// dual feasibility — and a Bland-rule dual simplex restores primal
-/// feasibility in typically a handful of pivots. Falls back to a cold
-/// SolveLp over `constraints` (setting warm_fallback) when the warm
-/// path does not apply: null/absent parent state, dense engine, an
-/// equality delta row, or a degenerate dual chain exceeding the pivot
-/// valve. Either way the result is exactly equivalent to a cold solve
-/// in its feasibility verdict, and observes the same deadline, budget,
-/// and fault-injection contracts as SolveLp.
-SimplexResult ResolveLp(const std::shared_ptr<const SimplexWarmState>& parent,
-                        const std::vector<LinearConstraint>& constraints,
+/// feasibility in typically a handful of pivots. Only the delta rows
+/// are read on that path. `parent` is taken by value: when the caller
+/// moves in the last reference, the tableau is moved out of the
+/// snapshot instead of copied. Falls back to a cold SolveLp over
+/// `base` + `extra` (setting warm_fallback) when the warm path does
+/// not apply: null/absent parent state, dense engine, an equality
+/// delta row, or a degenerate dual chain exceeding the pivot valve.
+/// Either way the result is exactly equivalent to a cold solve in its
+/// feasibility verdict, and observes the same deadline, budget, and
+/// fault-injection contracts as SolveLp.
+SimplexResult ResolveLp(std::shared_ptr<const SimplexWarmState> parent,
+                        const std::vector<LinearConstraint>& base,
+                        const std::vector<LinearConstraint>& extra,
                         int delta, int num_vars,
                         const Deadline& deadline = Deadline(),
                         const ResourceBudget* budget = nullptr,

@@ -39,7 +39,9 @@ struct SearchNode {
   // first-definitive-leaf rule is defined over.
   std::vector<uint32_t> order;
   // The parent's final LP tableau (sparse engine only), shared between
-  // siblings — and across threads; SimplexWarmState is immutable.
+  // siblings — and across threads; SimplexWarmState is immutable while
+  // shared. The node moves its reference into ResolveLp, so the child
+  // solved last takes the tableau over instead of copying it.
   std::shared_ptr<const SimplexWarmState> warm;
 };
 
@@ -203,16 +205,17 @@ bool ProcessNode(SearchContext& ctx, SearchNode&& node,
   trace::Max("solver/max_branch_depth",
              static_cast<int64_t>(node.extra.size()));
 
-  std::vector<LinearConstraint> constraints = ctx.base;
-  constraints.insert(constraints.end(), node.extra.begin(), node.extra.end());
   SimplexResult lp;
   if (ctx.warm_enabled && node.warm != nullptr && node.delta > 0) {
-    lp = ResolveLp(node.warm, constraints, node.delta, ctx.search_vars,
-                   ctx.options.deadline, &ctx.options.budget,
+    lp = ResolveLp(std::move(node.warm), ctx.base, node.extra, node.delta,
+                   ctx.search_vars, ctx.options.deadline, &ctx.options.budget,
                    ctx.simplex_options);
     if (lp.warm_used) trace::Count("solver/warm_starts");
     if (lp.warm_fallback) trace::Count("solver/warm_start_fallbacks");
   } else {
+    std::vector<LinearConstraint> constraints = ctx.base;
+    constraints.insert(constraints.end(), node.extra.begin(),
+                       node.extra.end());
     lp = SolveLp(ctx.search_vars, constraints, ctx.options.deadline,
                  &ctx.options.budget, ctx.simplex_options);
   }

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "ilp/simplex.h"
 #include "ilp/solver.h"
+#include "trace/trace.h"
 
 namespace xmlverify {
 namespace {
@@ -53,6 +55,13 @@ bool AllSatisfied(const std::vector<LinearConstraint>& constraints,
   return true;
 }
 
+std::vector<LinearConstraint> JoinRows(
+    std::vector<LinearConstraint> base,
+    const std::vector<LinearConstraint>& extra) {
+  base.insert(base.end(), extra.begin(), extra.end());
+  return base;
+}
+
 SimplexOptions Exporting() {
   SimplexOptions options;
   options.export_warm_state = true;
@@ -91,9 +100,10 @@ TEST(WarmStartTest, WarmResolveMatchesColdOnBoundTightening) {
   ASSERT_NE(parent.warm_state, nullptr);
 
   // Tightening x <= 1 keeps the system feasible (x=1, y=2).
-  std::vector<LinearConstraint> feasible_child = base;
-  feasible_child.push_back(Make({{0, 1}}, Relation::kLe, 1));
-  SimplexResult warm = ResolveLp(parent.warm_state, feasible_child,
+  std::vector<LinearConstraint> feasible_extra = {
+      Make({{0, 1}}, Relation::kLe, 1)};
+  std::vector<LinearConstraint> feasible_child = JoinRows(base, feasible_extra);
+  SimplexResult warm = ResolveLp(parent.warm_state, base, feasible_extra,
                                  /*delta=*/1, /*num_vars=*/2);
   EXPECT_TRUE(warm.warm_used);
   EXPECT_FALSE(warm.warm_fallback);
@@ -102,11 +112,12 @@ TEST(WarmStartTest, WarmResolveMatchesColdOnBoundTightening) {
 
   // x <= 0 and y <= 2 cannot reach x + y >= 3: warm infeasibility
   // must match the cold verdict.
-  std::vector<LinearConstraint> infeasible_child = base;
-  infeasible_child.push_back(Make({{0, 1}}, Relation::kLe, 0));
-  infeasible_child.push_back(Make({{1, 1}}, Relation::kLe, 2));
+  std::vector<LinearConstraint> infeasible_extra = {
+      Make({{0, 1}}, Relation::kLe, 0), Make({{1, 1}}, Relation::kLe, 2)};
+  std::vector<LinearConstraint> infeasible_child =
+      JoinRows(base, infeasible_extra);
   SimplexResult warm_infeasible =
-      ResolveLp(parent.warm_state, infeasible_child, /*delta=*/2,
+      ResolveLp(parent.warm_state, base, infeasible_extra, /*delta=*/2,
                 /*num_vars=*/2);
   EXPECT_FALSE(warm_infeasible.feasible);
   EXPECT_FALSE(SolveLp(2, infeasible_child).feasible);
@@ -118,10 +129,10 @@ TEST(WarmStartTest, EqualityDeltaRowFallsBackCold) {
   };
   SimplexResult parent = SolveLp(2, base, Deadline(), nullptr, Exporting());
   ASSERT_NE(parent.warm_state, nullptr);
-  std::vector<LinearConstraint> child = base;
-  child.push_back(Make({{0, 1}}, Relation::kEq, 3));
+  std::vector<LinearConstraint> extra = {Make({{0, 1}}, Relation::kEq, 3)};
+  std::vector<LinearConstraint> child = JoinRows(base, extra);
   SimplexResult result =
-      ResolveLp(parent.warm_state, child, /*delta=*/1, /*num_vars=*/2);
+      ResolveLp(parent.warm_state, base, extra, /*delta=*/1, /*num_vars=*/2);
   EXPECT_TRUE(result.warm_fallback);
   EXPECT_FALSE(result.warm_used);
   ASSERT_TRUE(result.feasible);
@@ -129,11 +140,9 @@ TEST(WarmStartTest, EqualityDeltaRowFallsBackCold) {
 }
 
 TEST(WarmStartTest, NullParentFallsBackCold) {
-  std::vector<LinearConstraint> child = {
-      Make({{0, 2}}, Relation::kGe, 1),
-      Make({{0, 2}}, Relation::kLe, 5),
-  };
-  SimplexResult result = ResolveLp(nullptr, child, /*delta=*/1,
+  std::vector<LinearConstraint> base = {Make({{0, 2}}, Relation::kGe, 1)};
+  std::vector<LinearConstraint> extra = {Make({{0, 2}}, Relation::kLe, 5)};
+  SimplexResult result = ResolveLp(nullptr, base, extra, /*delta=*/1,
                                    /*num_vars=*/1);
   EXPECT_TRUE(result.warm_fallback);
   EXPECT_TRUE(result.feasible);
@@ -145,14 +154,92 @@ TEST(WarmStartTest, DenseEngineFallsBackCold) {
   };
   SimplexResult parent = SolveLp(1, base, Deadline(), nullptr, Exporting());
   ASSERT_NE(parent.warm_state, nullptr);
-  std::vector<LinearConstraint> child = base;
-  child.push_back(Make({{0, 1}}, Relation::kGe, 2));
+  std::vector<LinearConstraint> extra = {Make({{0, 1}}, Relation::kGe, 2)};
   SimplexOptions dense;
   dense.sparse = false;
-  SimplexResult result = ResolveLp(parent.warm_state, child, /*delta=*/1,
-                                   /*num_vars=*/1, Deadline(), nullptr, dense);
+  SimplexResult result =
+      ResolveLp(parent.warm_state, base, extra, /*delta=*/1,
+                /*num_vars=*/1, Deadline(), nullptr, dense);
   EXPECT_TRUE(result.warm_fallback);
   EXPECT_TRUE(result.feasible);
+}
+
+// Two children share one parent snapshot, as branch-and-bound
+// siblings do. The first re-solve must copy the tableau (the second
+// child still holds the snapshot); only the second, now the last
+// owner, may move it out. The second child's result must equal both a
+// cold solve and a warm re-solve from an untouched snapshot.
+TEST(WarmStartTest, SharedSnapshotSurvivesTheFirstChild) {
+  std::vector<LinearConstraint> base = {
+      Make({{0, 1}, {1, 1}}, Relation::kGe, 3),
+      Make({{0, 2}, {1, 1}}, Relation::kLe, 9),
+      Make({{1, 1}}, Relation::kLe, 4),
+  };
+  std::vector<LinearConstraint> first_extra = {
+      Make({{0, 1}}, Relation::kGe, 3)};
+  std::vector<LinearConstraint> second_extra = {
+      Make({{0, 1}}, Relation::kLe, 0)};
+
+  // Reference: the second child re-solved from a snapshot nobody else
+  // has touched.
+  SimplexResult reference_parent =
+      SolveLp(2, base, Deadline(), nullptr, Exporting());
+  ASSERT_NE(reference_parent.warm_state, nullptr);
+  SimplexResult reference = ResolveLp(reference_parent.warm_state, base,
+                                      second_extra, /*delta=*/1,
+                                      /*num_vars=*/2);
+  ASSERT_TRUE(reference.warm_used);
+
+  StatsRegistry registry;
+  TraceSession session(&registry);
+  SimplexResult parent = SolveLp(2, base, Deadline(), nullptr, Exporting());
+  ASSERT_NE(parent.warm_state, nullptr);
+  std::shared_ptr<const SimplexWarmState> first_child = parent.warm_state;
+  std::shared_ptr<const SimplexWarmState> second_child =
+      std::move(parent.warm_state);
+
+  SimplexResult first = ResolveLp(std::move(first_child), base, first_extra,
+                                  /*delta=*/1, /*num_vars=*/2);
+  EXPECT_TRUE(first.warm_used);
+  EXPECT_EQ(first.feasible, SolveLp(2, JoinRows(base, first_extra)).feasible);
+  EXPECT_EQ(registry.Counter("simplex/warm_tableau_moves"), 0);
+  ASSERT_NE(second_child, nullptr);
+  EXPECT_EQ(WarmStateBytes(*second_child),
+            WarmStateBytes(*reference_parent.warm_state));
+
+  std::vector<LinearConstraint> second_rows = JoinRows(base, second_extra);
+  SimplexResult second = ResolveLp(std::move(second_child), base, second_extra,
+                                   /*delta=*/1, /*num_vars=*/2);
+  EXPECT_EQ(registry.Counter("simplex/warm_tableau_moves"), 1);
+  EXPECT_TRUE(second.warm_used);
+  SimplexResult cold = SolveLp(2, second_rows);
+  ASSERT_EQ(second.feasible, cold.feasible);
+  ASSERT_TRUE(second.feasible);
+  EXPECT_TRUE(AllSatisfied(second_rows, second.solution));
+  EXPECT_EQ(second.solution, reference.solution);
+  EXPECT_EQ(second.pivots, reference.pivots);
+}
+
+// The cold fallback must solve the base rows plus every extra row, not
+// just the delta. The equality delta row forces the fallback; the
+// earlier extra row alone contradicts the base, so a fallback that
+// dropped it would wrongly report the system feasible.
+TEST(WarmStartTest, ColdFallbackSeesAllExtraRows) {
+  std::vector<LinearConstraint> base = {
+      Make({{0, 1}, {1, 1}}, Relation::kLe, 10),
+  };
+  SimplexResult parent = SolveLp(2, base, Deadline(), nullptr, Exporting());
+  ASSERT_NE(parent.warm_state, nullptr);
+  std::vector<LinearConstraint> extra = {
+      Make({{0, 1}}, Relation::kGe, 20),  // contradicts x + y <= 10
+      Make({{1, 1}}, Relation::kEq, 1),   // the delta row
+  };
+  ASSERT_TRUE(SolveLp(2, {base[0], extra[1]}).feasible);
+  SimplexResult result =
+      ResolveLp(parent.warm_state, base, extra, /*delta=*/1, /*num_vars=*/2);
+  EXPECT_TRUE(result.warm_fallback);
+  EXPECT_FALSE(result.warm_used);
+  EXPECT_FALSE(result.feasible);
 }
 
 // Seeded sweep: random base systems, random bound-row deltas (the
@@ -185,15 +272,16 @@ TEST(WarmStartTest, RandomizedSweepAgreesWithCold) {
         SolveLp(kVars, base, Deadline(), nullptr, Exporting());
     if (!parent.feasible || parent.warm_state == nullptr) continue;
 
-    std::vector<LinearConstraint> child = base;
+    std::vector<LinearConstraint> extra;
     const int delta = 1 + static_cast<int>(next(2));
-    for (int extra = 0; extra < delta; ++extra) {
+    for (int row = 0; row < delta; ++row) {
       VarId var = static_cast<VarId>(next(kVars));
       Relation relation = next(2) == 0 ? Relation::kLe : Relation::kGe;
-      child.push_back(Make({{var, 1}}, relation, next(5)));
+      extra.push_back(Make({{var, 1}}, relation, next(5)));
     }
+    std::vector<LinearConstraint> child = JoinRows(base, extra);
     SimplexResult warm =
-        ResolveLp(parent.warm_state, child, delta, kVars);
+        ResolveLp(parent.warm_state, base, extra, delta, kVars);
     SimplexResult cold = SolveLp(kVars, child);
     ASSERT_EQ(warm.feasible, cold.feasible)
         << "trial " << trial << ": warm and cold verdicts diverge";
