@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/consistency.h"
 #include "tests/test_util.h"
 
@@ -63,6 +65,11 @@ struct PdeCase {
   bool expect_sat;
   const char* label;
 };
+
+// Prints the case by its label. Without this, gtest prints the raw
+// bytes of the struct, heap pointers included, and the ctest names
+// derived from them change on every test discovery.
+void PrintTo(const PdeCase& c, std::ostream* os) { *os << c.label; }
 
 PdeCase MakeCase(std::vector<PdeSystem::LinearRow> rows,
                  std::vector<PdeSystem::Prequadratic> prequadratics,

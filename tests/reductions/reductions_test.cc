@@ -3,6 +3,8 @@
 // coincide with the source problem's answer.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/consistency.h"
 #include "core/sat_bounded.h"
 #include "core/sat_hierarchical.h"
@@ -88,6 +90,13 @@ struct SubsetSumCase {
   int64_t target;
   std::vector<int64_t> items;
 };
+
+// Prints "target<t>_items_<i1>_<i2>...": stable across runs, unlike
+// gtest's default byte dump, which includes the vector's heap pointers.
+void PrintTo(const SubsetSumCase& c, std::ostream* os) {
+  *os << "target" << c.target << "_items";
+  for (int64_t item : c.items) *os << "_" << item;
+}
 
 class SubsetSumSweep : public ::testing::TestWithParam<SubsetSumCase> {};
 
